@@ -13,8 +13,13 @@
 #   SKIP_EXAMPLES=1 ...            # skip the examples build-and-smoke stage
 #   SKIP_DOCS=1 ...                # skip the docs link check
 #
+# The perfbench smoke stage always runs: a tiny run of every layer-ladder
+# workload, whose byte-identity output checks cover the serving drain
+# path end to end.
+#
 # Run from anywhere; build trees land in <repo>/build, <repo>/build-tsan,
-# <repo>/build-asan, <repo>/build-fuzz and <repo>/build-nometrics.
+# <repo>/build-asan, <repo>/build-fuzz, <repo>/build-nometrics and
+# <repo>/.bench_build.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -599,5 +604,13 @@ print(f"  checked {len(md_files)} markdown files")
 sys.exit(1 if failed else 0)
 EOF
 fi
+
+echo "== perfbench smoke: every workload's output checks, traced and untraced =="
+# perfbench/smoke_test.py runs each layer-ladder workload for 2 s with and
+# without tracing (every rung's outputs must match the direct runtime
+# byte for byte, and the printed metric names must match BENCHMARK.json),
+# then checks that a perturbed reference output fails. About 30 s after
+# the first build of .bench_build/perfbench.
+(cd "$repo" && python3 perfbench/smoke_test.py)
 
 echo "== all checks passed =="

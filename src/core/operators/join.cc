@@ -139,27 +139,60 @@ bool PulseJoin::KeysAdmissible(const Segment& a, const Segment& b) const {
   return true;
 }
 
-void PulseJoin::Expire(double now) {
-  const double horizon = now - options_.window_seconds;
-  auto expire_side = [horizon](std::deque<Segment>* side,
-                               std::deque<ResolvedAttrs>* resolved) {
+PulseJoin::Window* PulseJoin::WindowFor(Key key) {
+  return options_.match_keys ? &by_key_[key] : &all_;
+}
+
+const PulseJoin::Window* PulseJoin::FindWindow(Key key) const {
+  if (!options_.match_keys) return &all_;
+  const auto it = by_key_.find(key);
+  return it == by_key_.end() ? nullptr : &it->second;
+}
+
+size_t PulseJoin::left_buffer_size() const {
+  size_t n = options_.use_segment_index ? all_.left_index.size()
+                                        : all_.left.size();
+  for (const auto& [key, w] : by_key_) {
+    n += options_.use_segment_index ? w.left_index.size() : w.left.size();
+  }
+  return n;
+}
+
+size_t PulseJoin::right_buffer_size() const {
+  size_t n = options_.use_segment_index ? all_.right_index.size()
+                                        : all_.right.size();
+  for (const auto& [key, w] : by_key_) {
+    n += options_.use_segment_index ? w.right_index.size() : w.right.size();
+  }
+  return n;
+}
+
+void PulseJoin::Expire(Window* window) {
+  const double horizon = window->latest - options_.window_seconds;
+  auto expire_side = [this, horizon](std::deque<Segment>* side,
+                                     std::deque<ResolvedAttrs>* resolved) {
     while (!side->empty() && side->front().range.hi < horizon) {
       side->pop_front();
+      --stored_;
       // Kept in lockstep with the segment deque (empty when the
       // predicate is not compiled).
       if (!resolved->empty()) resolved->pop_front();
     }
   };
-  expire_side(&left_, &left_resolved_);
-  expire_side(&right_, &right_resolved_);
+  expire_side(&window->left, &window->left_resolved);
+  expire_side(&window->right, &window->right_resolved);
   if (options_.use_segment_index) {
-    left_index_.ExpireBefore(horizon);
-    right_index_.ExpireBefore(horizon);
+    const size_t before =
+        window->left_index.size() + window->right_index.size();
+    window->left_index.ExpireBefore(horizon);
+    window->right_index.ExpireBefore(horizon);
+    stored_ -= before - window->left_index.size() -
+               window->right_index.size();
   }
   // The lineage sweep is linear in stored outputs: run it periodically.
-  if (now - last_lineage_expire_ > options_.window_seconds / 16.0) {
-    lineage_.ExpireBefore(horizon);
-    last_lineage_expire_ = now;
+  if (latest_time_ - last_lineage_expire_ > options_.window_seconds / 16.0) {
+    lineage_.ExpireBefore(latest_time_ - options_.window_seconds);
+    last_lineage_expire_ = latest_time_;
   }
 }
 
@@ -288,14 +321,16 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
   PULSE_CHECK(port < 2);
   ++metrics_.segments_in;
   latest_time_ = std::max(latest_time_, segment.range.lo);
-  Expire(latest_time_);
+  Window* window = WindowFor(segment.key);
+  window->latest = std::max(window->latest, segment.range.lo);
+  Expire(window);
   if (options_.use_segment_index) {
     // Indexed probing (future-work extension): only partner segments
     // overlapping the newcomer's range are examined. The index owns its
     // own segment storage, so no resolved tables exist for it — pairs
     // build through the resolver path.
     const SegmentIndex& partners =
-        (port == 0) ? right_index_ : left_index_;
+        (port == 0) ? window->right_index : window->left_index;
     std::vector<const Segment*> overlaps;
     if (options_.match_keys) {
       partners.QueryOverlapsWithKey(segment.range, segment.key, &overlaps);
@@ -306,14 +341,15 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
                                         /*probe_resolved=*/nullptr,
                                         /*partner_resolved=*/nullptr, out));
     if (port == 0) {
-      left_index_.Insert(segment);
+      window->left_index.Insert(segment);
     } else {
-      right_index_.Insert(segment);
+      window->right_index.Insert(segment);
     }
-    metrics_.state_size = left_index_.size() + right_index_.size();
+    metrics_.state_size = ++stored_;
     return Status::OK();
   }
-  const std::deque<Segment>& partners = (port == 0) ? right_ : left_;
+  const std::deque<Segment>& partners =
+      (port == 0) ? window->right : window->left;
   std::vector<const Segment*> candidates;
   candidates.reserve(partners.size());
   for (const Segment& partner : partners) candidates.push_back(&partner);
@@ -324,24 +360,27 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
     probe_resolved =
         Resolve(port == 0 ? Side::kLeft : Side::kRight, segment);
     probe = &probe_resolved;
-    partner_resolved = (port == 0) ? &right_resolved_ : &left_resolved_;
+    partner_resolved =
+        (port == 0) ? &window->right_resolved : &window->left_resolved;
   }
   PULSE_RETURN_IF_ERROR(
       MatchPartners(port, segment, candidates, probe, partner_resolved, out));
   if (port == 0) {
-    left_.push_back(segment);
+    window->left.push_back(segment);
     // Resolve against the stored copy: its attribute-map nodes are the
     // ones the pointer table must outlive-match.
     if (compiled_) {
-      left_resolved_.push_back(Resolve(Side::kLeft, left_.back()));
+      window->left_resolved.push_back(
+          Resolve(Side::kLeft, window->left.back()));
     }
   } else {
-    right_.push_back(segment);
+    window->right.push_back(segment);
     if (compiled_) {
-      right_resolved_.push_back(Resolve(Side::kRight, right_.back()));
+      window->right_resolved.push_back(
+          Resolve(Side::kRight, window->right.back()));
     }
   }
-  metrics_.state_size = left_.size() + right_.size();
+  metrics_.state_size = ++stored_;
   return Status::OK();
 }
 
@@ -404,7 +443,10 @@ Result<double> PulseJoin::ComputeSlack(size_t port,
                                        const Segment& segment) const {
   if (!predicate_.IsConjunctive()) return 0.0;
   double slack = std::numeric_limits<double>::infinity();
-  const std::deque<Segment>& partners = (port == 0) ? right_ : left_;
+  const Window* window = FindWindow(segment.key);
+  if (window == nullptr) return slack;
+  const std::deque<Segment>& partners =
+      (port == 0) ? window->right : window->left;
   for (const Segment& partner : partners) {
     if (!KeysAdmissible(segment, partner)) continue;
     const Interval overlap = segment.range.Intersect(partner.range);

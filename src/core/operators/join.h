@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/operators/pulse_operator.h"
@@ -64,17 +65,9 @@ class PulseJoin : public PulseOperator {
   /// `segment` (min over partners; +inf when no partner overlaps).
   Result<double> ComputeSlack(size_t port, const Segment& segment) const;
 
-  size_t left_buffer_size() const {
-    return options_.use_segment_index ? left_index_.size() : left_.size();
-  }
-  size_t right_buffer_size() const {
-    return options_.use_segment_index ? right_index_.size()
-                                      : right_.size();
-  }
-
-  /// Probe statistics when the segment index is enabled (ablation A4).
-  const SegmentIndex& left_index() const { return left_index_; }
-  const SegmentIndex& right_index() const { return right_index_; }
+  /// Stored segments per side, over every window.
+  size_t left_buffer_size() const;
+  size_t right_buffer_size() const;
 
  private:
   // --- Compiled predicate row program -------------------------------
@@ -135,7 +128,6 @@ class PulseJoin : public PulseOperator {
                        const std::deque<ResolvedAttrs>* partner_resolved,
                        SegmentBatch* out);
   bool KeysAdmissible(const Segment& a, const Segment& b) const;
-  void Expire(double now);
   Segment MakeJoined(const Segment& left, const Segment& right,
                      const Interval& valid) const;
 
@@ -144,20 +136,36 @@ class PulseJoin : public PulseOperator {
   bool compiled_ = false;
   std::vector<CompiledRow> compiled_rows_;
   std::vector<std::string> slot_names_[2];  // [0] = left, [1] = right
-  // Resolved tables for the stored segments, kept in lockstep with
-  // left_ / right_ (maintained only when compiled_).
-  std::deque<ResolvedAttrs> left_resolved_;
-  std::deque<ResolvedAttrs> right_resolved_;
   // Per-push scratch for the conjunctive fan-out, reused across pushes
   // so pair-system construction and solution collection stop allocating
   // once warm (docs/PERFORMANCE.md). Only MatchPartners (serial, calling
   // thread) touches them; entries are grown, never shrunk.
   std::vector<EquationSystemTask> task_scratch_;
   std::vector<IntervalSet> solution_scratch_;
-  std::deque<Segment> left_;
-  std::deque<Segment> right_;
-  SegmentIndex left_index_;
-  SegmentIndex right_index_;
+  // Window state for one set of partners. A key-equi join (match_keys)
+  // keeps one window per key, expired by that key's own newest arrival,
+  // so a key's partners never depend on other keys' traffic — what lets
+  // the shard pool partition the join by key and stay byte-identical
+  // to a serial run (docs/SHARDING.md). Other joins keep one window.
+  struct Window {
+    std::deque<Segment> left;
+    std::deque<Segment> right;
+    // Resolved tables for the stored segments, kept in lockstep with
+    // left / right (maintained only when compiled_).
+    std::deque<ResolvedAttrs> left_resolved;
+    std::deque<ResolvedAttrs> right_resolved;
+    SegmentIndex left_index;
+    SegmentIndex right_index;
+    double latest = 0.0;  // newest range.lo seen by this window
+  };
+  Window* WindowFor(Key key);
+  const Window* FindWindow(Key key) const;
+  void Expire(Window* window);
+
+  Window all_;
+  std::unordered_map<Key, Window> by_key_;
+  size_t stored_ = 0;  // segments over every window
+  // Newest range.lo over every window (drives the lineage sweep).
   double latest_time_ = 0.0;
   double last_lineage_expire_ = 0.0;
 };

@@ -42,41 +42,58 @@ IngestQueue::IngestQueue(size_t capacity, WorkSignal* signal)
 
 PushResult IngestQueue::TryPush(IngestItem* item, BackpressurePolicy policy,
                                 uint64_t* dropped) {
+  const size_t n = item->size();
+  PushResult result = PushResult::kAccepted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return PushResult::kClosed;
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(*item));
-      if (signal_ != nullptr) signal_->Notify();
-      return PushResult::kAccepted;
-    }
-    switch (policy) {
-      case BackpressurePolicy::kBlock:
-        return PushResult::kWouldBlock;
-      case BackpressurePolicy::kShed:
-        return PushResult::kShed;
-      case BackpressurePolicy::kDropOldest: {
-        uint64_t evicted = 0;
-        while (items_.size() >= capacity_) {
-          items_.pop_front();
-          ++evicted;
+    if (depth_ > 0 && depth_ + n > capacity_) {
+      switch (policy) {
+        case BackpressurePolicy::kBlock:
+          return PushResult::kWouldBlock;
+        case BackpressurePolicy::kShed:
+          return PushResult::kShed;
+        case BackpressurePolicy::kDropOldest: {
+          // Evict the oldest tuples, just enough for the new frame (all
+          // of them when the frame alone exceeds the capacity).
+          uint64_t need = n >= capacity_ ? depth_ : depth_ + n - capacity_;
+          const uint64_t evicted = need;
+          while (need > 0) {
+            IngestItem& head = items_.front();
+            if (head.size() <= need) {
+              need -= head.size();
+              depth_ -= head.size();
+              items_.pop_front();
+            } else {
+              head.tuples.erase(head.tuples.begin(),
+                                head.tuples.begin() +
+                                    static_cast<std::ptrdiff_t>(need));
+              head.seq += need;
+              depth_ -= need;
+              need = 0;
+            }
+          }
+          if (dropped != nullptr) *dropped = evicted;
+          result = PushResult::kDroppedOldest;
+          break;
         }
-        items_.push_back(std::move(*item));
-        if (dropped != nullptr) *dropped = evicted;
-        if (signal_ != nullptr) signal_->Notify();
-        return PushResult::kDroppedOldest;
       }
     }
+    depth_ += n;
+    items_.push_back(std::move(*item));
   }
-  return PushResult::kShed;  // unreachable
+  if (signal_ != nullptr) signal_->Notify();
+  return result;
 }
 
 bool IngestQueue::PushBlocking(IngestItem item, uint64_t* blocked_ns) {
   const auto start = std::chrono::steady_clock::now();
+  const size_t n = item.size();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    space_cv_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
+    space_cv_.wait(lock, [&] {
+      return closed_ || depth_ == 0 || depth_ + n <= capacity_;
+    });
     if (blocked_ns != nullptr) {
       *blocked_ns = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -84,6 +101,7 @@ bool IngestQueue::PushBlocking(IngestItem item, uint64_t* blocked_ns) {
               .count());
     }
     if (closed_) return false;
+    depth_ += n;
     items_.push_back(std::move(item));
   }
   if (signal_ != nullptr) signal_->Notify();
@@ -100,22 +118,21 @@ bool IngestQueue::PeekSeq(uint64_t* seq, bool* is_segment,
   return true;
 }
 
-bool IngestQueue::Pop(IngestItem* out) {
-  bool freed_space = false;
+bool IngestQueue::Pop(IngestItem* out, uint64_t seq_limit) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
+    if (items_.empty() || items_.front().seq >= seq_limit) return false;
     *out = std::move(items_.front());
     items_.pop_front();
-    freed_space = true;
+    depth_ -= out->size();
   }
-  if (freed_space) space_cv_.notify_one();
+  space_cv_.notify_one();
   return true;
 }
 
 size_t IngestQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
+  return depth_;
 }
 
 void IngestQueue::Close() {

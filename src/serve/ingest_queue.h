@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 #include "engine/tuple.h"
 #include "model/segment.h"
@@ -28,34 +29,27 @@ enum class BackpressurePolicy : uint8_t {
 
 const char* BackpressurePolicyToString(BackpressurePolicy policy);
 
-/// One admitted ingest work item. `seq` is a session-global admission
-/// sequence number: the reader thread (single producer for all of a
-/// session's queues) assigns consecutive values across streams, and the
-/// worker replays items in ascending seq — so micro-batching across
-/// per-stream queues preserves the client's arrival order exactly.
-///
-/// The same item doubles as the cross-shard exchange record
-/// (docs/SHARDING.md): the shard router stamps `client` and `stream`
-/// so a shard worker shared by many sessions can dispatch into the
-/// right client runtime, and `is_finish` marks the end-of-input
-/// sentinel a client pushes down every shard lane before merging.
+/// One admitted data frame: its tuples, or one segment. `seq` is the
+/// session-global admission sequence number of the frame's first item;
+/// the reader thread (single producer for all of a session's queues)
+/// numbers items consecutively across streams, so a frame of n tuples
+/// covers seqs [seq, seq + n), and the worker replays frames in
+/// ascending seq — micro-batching across per-stream queues preserves the
+/// client's arrival order exactly.
 struct IngestItem {
   uint64_t seq = 0;
-  /// Shard exchange only: owning client id (ShardClient) and the index
-  /// of the target stream in the pool's sorted stream-name table.
-  uint64_t client = 0;
-  uint32_t stream = 0;
   /// Precision tier stamped at admission by the session reader
   /// (adaptive sessions only; docs/PRECISION.md). The worker applies
-  /// tier changes at item boundaries, so tier transitions are a pure
+  /// tier changes at frame boundaries, so tier transitions are a pure
   /// function of the admission sequence — deterministic for a given
-  /// arrival order. Always 0 on the shard exchange and in static mode.
+  /// arrival order. Always 0 in static mode.
   uint8_t tier = 0;
   bool is_segment = false;
-  /// Shard exchange only: finish sentinel (no payload).
-  bool is_finish = false;
-  Tuple tuple;      // meaningful when !is_segment
-  Segment segment;  // meaningful when is_segment
+  std::vector<Tuple> tuples;  // meaningful when !is_segment
+  Segment segment;            // meaningful when is_segment
+
+  /// Queue footprint in tuples (a segment counts as one).
+  size_t size() const { return is_segment ? 1 : tuples.size(); }
 };
 
 /// Producer-side outcome of an admission attempt.
@@ -64,7 +58,7 @@ enum class PushResult : uint8_t {
   /// Queue full under kBlock: nothing was enqueued; the caller should
   /// notify the client (kPaused) and then call PushBlocking.
   kWouldBlock = 1,
-  /// Accepted after evicting `*dropped` oldest items (kDropOldest).
+  /// Accepted after evicting `*dropped` oldest tuples (kDropOldest).
   kDroppedOldest = 2,
   /// Rejected (kShed), nothing enqueued.
   kShed = 3,
@@ -90,10 +84,14 @@ class WorkSignal {
 };
 
 /// Bounded single-producer / single-consumer ingest queue for one
-/// session stream. The mutex is uncontended in steady state (producer
-/// and consumer touch it briefly per item); bounding — not lock
-/// freedom — is the load-bearing property: a slow solver surfaces as
-/// explicit backpressure at admission instead of unbounded memory.
+/// session stream. Items are frames; capacity and size() count tuples
+/// (a segment counts as one), so admission signals do not depend on
+/// how a client frames its input. A frame larger than the capacity is
+/// admitted into an empty queue. The mutex is uncontended in steady
+/// state (producer and consumer touch it once per frame); bounding —
+/// not lock freedom — is the load-bearing property: a slow solver
+/// surfaces as explicit backpressure at admission instead of unbounded
+/// memory.
 class IngestQueue {
  public:
   /// `signal` (not owned, may be null) is notified on every successful
@@ -103,8 +101,9 @@ class IngestQueue {
   /// Non-blocking admission under `policy`. `*item` is consumed (moved
   /// from) only when the result says it was enqueued — on kWouldBlock /
   /// kShed / kClosed it is left intact so the caller can retry with
-  /// PushBlocking. On kDroppedOldest, `*dropped` (may be null) receives
-  /// the eviction count.
+  /// PushBlocking. kDropOldest evicts only as many of the oldest queued
+  /// tuples as the new frame needs (trimming the front of a partly
+  /// evicted frame); `*dropped` (may be null) receives that count.
   PushResult TryPush(IngestItem* item, BackpressurePolicy policy,
                      uint64_t* dropped);
 
@@ -121,9 +120,13 @@ class IngestQueue {
   bool PeekSeq(uint64_t* seq, bool* is_segment = nullptr,
                uint8_t* tier = nullptr) const;
 
-  /// Pops the head into `*out`; false when empty.
-  bool Pop(IngestItem* out);
+  /// Pops the head frame into `*out` if its seq is below `seq_limit`;
+  /// false when empty or the head is not below the limit. (The worker
+  /// passes the smallest head seq of the session's other queues, so a
+  /// head trimmed or evicted since its PeekSeq cannot jump the merge.)
+  bool Pop(IngestItem* out, uint64_t seq_limit = UINT64_MAX);
 
+  /// Queued tuples, and the capacity they are bounded by.
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
@@ -138,6 +141,7 @@ class IngestQueue {
   mutable std::mutex mu_;
   std::condition_variable space_cv_;
   std::deque<IngestItem> items_;
+  size_t depth_ = 0;  // queued tuples
   bool closed_ = false;
 };
 

@@ -93,11 +93,15 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
     g_tier_ = serve_metrics_->GetGauge("precision/tier");
     g_open_ = serve_metrics_->GetGauge("precision/open");
   }
+  client_->SetReleaseCallback([this] { signal_.Notify(); });
 }
 
 Session::~Session() {
   Abort();
   Join();
+  // Shard workers may still hold this client's records; none may wake
+  // a session that is going away.
+  client_->SetReleaseCallback(nullptr);
 }
 
 void Session::Start() {
@@ -412,12 +416,15 @@ Status Session::AdmitData(Frame frame) {
       static_cast<uint8_t>(precision_ctl_.Update(depth, capacity));
 
   const uint64_t now_ns = NowNs();
-  for (Tuple& tuple : frame.tuples) {
+  for (size_t i = 0; i < frame.tuples.size(); ++i) {
     lane->batcher.RecordArrival(now_ns);
+  }
+  if (!frame.tuples.empty()) {
     IngestItem item;
-    item.seq = next_seq_++;
+    item.seq = next_seq_;
     item.tier = tier;
-    item.tuple = std::move(tuple);
+    item.tuples = std::move(frame.tuples);
+    next_seq_ += item.size();
     PULSE_RETURN_IF_ERROR(EnqueueItem(lane, std::move(item)));
   }
   for (Segment& segment : frame.segments) {
@@ -433,23 +440,24 @@ Status Session::AdmitData(Frame frame) {
 }
 
 Status Session::EnqueueItem(Lane* lane, IngestItem item) {
+  const uint64_t n = item.size();
   uint64_t dropped = 0;
   const PushResult result =
       lane->queue.TryPush(&item, options_.policy, &dropped);
   switch (result) {
     case PushResult::kAccepted:
-      c_accepted_->Increment();
+      c_accepted_->Add(n);
       return Status::OK();
     case PushResult::kDroppedOldest:
-      c_accepted_->Increment();
+      c_accepted_->Add(n);
       c_dropped_->Add(dropped);
       return WriteFrame(Frame::Flow(lane->stream_id,
                                     FlowEvent::kDroppedOldest, dropped));
     case PushResult::kShed:
     case PushResult::kClosed:
-      c_shed_->Increment();
+      c_shed_->Add(n);
       return WriteFrame(
-          Frame::Flow(lane->stream_id, FlowEvent::kShed, 1));
+          Frame::Flow(lane->stream_id, FlowEvent::kShed, n));
     case PushResult::kWouldBlock:
       break;
   }
@@ -463,10 +471,10 @@ Status Session::EnqueueItem(Lane* lane, IngestItem item) {
   const bool pushed = lane->queue.PushBlocking(std::move(item), &blocked_ns);
   c_blocked_ns_->Add(blocked_ns);
   if (!pushed) {
-    c_shed_->Increment();
-    return WriteFrame(Frame::Flow(lane->stream_id, FlowEvent::kShed, 1));
+    c_shed_->Add(n);
+    return WriteFrame(Frame::Flow(lane->stream_id, FlowEvent::kShed, n));
   }
-  c_accepted_->Increment();
+  c_accepted_->Add(n);
   return WriteFrame(
       Frame::Flow(lane->stream_id, FlowEvent::kResumed, 0));
 }
@@ -474,12 +482,60 @@ Status Session::EnqueueItem(Lane* lane, IngestItem item) {
 // ---------------------------------------------------------------------
 // Worker: queues -> micro-batches -> runtime -> output frames.
 
+Status Session::Dispatch(Lane* lane, uint64_t seq_limit) {
+  IngestItem item;
+  if (!lane->queue.Pop(&item, seq_limit)) return Status::OK();
+  // Adaptive sessions apply the admission-stamped tier at the frame
+  // boundary, before the frame itself is dispatched.
+  if (adaptive_ != nullptr) {
+    PULSE_RETURN_IF_ERROR(adaptive_->SetTier(item.tier));
+  }
+  if (item.is_segment) {
+    Segment& segment = item.segment;
+    return adaptive_ != nullptr
+               ? adaptive_->ProcessSegment(lane->name, std::move(segment))
+               : client_->ProcessSegment(lane->name, std::move(segment));
+  }
+  std::vector<Tuple> batch = std::move(item.tuples);
+  uint64_t next_seq = item.seq + batch.size();
+  const size_t target = lane->batcher.TargetBatchSize();
+  while (batch.size() < target) {
+    uint64_t seq = 0;
+    bool is_segment = false;
+    uint8_t tier = 0;
+    // Only a frame with the *next* session seq may join the batch: a
+    // gap means another stream's item was admitted in between, and
+    // batching across it would reorder arrival order. A tier change is
+    // also a batch boundary: the whole batch must be processed under
+    // one precision tier.
+    if (!lane->queue.PeekSeq(&seq, &is_segment, &tier) || seq != next_seq ||
+        is_segment || tier != item.tier) {
+      break;
+    }
+    IngestItem next;
+    if (!lane->queue.Pop(&next, next_seq + 1)) break;
+    next_seq += next.tuples.size();
+    batch.insert(batch.end(), std::make_move_iterator(next.tuples.begin()),
+                 std::make_move_iterator(next.tuples.end()));
+  }
+  c_batch_dispatched_->Increment();
+  c_batch_tuples_->Add(batch.size());
+  return adaptive_ != nullptr
+             ? adaptive_->ProcessTuples(lane->name, batch.data(),
+                                        batch.size())
+             : client_->ProcessTuples(lane->name, std::move(batch));
+}
+
 void Session::WorkerLoop() {
   std::vector<Lane*> lanes;
-  std::vector<Tuple> batch;
   for (;;) {
     if (stop_.load()) break;
     const uint64_t epoch = signal_.epoch();
+    // Loaded before the scan: drain_requested_ is stored only after
+    // every queue is closed, so an empty scan after seeing it is final.
+    // (Loaded after the scan, a frame admitted just before the drain
+    // could be missed by the scan yet followed by the flag.)
+    const bool draining = drain_requested_.load();
     {
       std::lock_guard<std::mutex> lock(lanes_mu_);
       lanes.clear();
@@ -489,70 +545,32 @@ void Session::WorkerLoop() {
     // first, reproducing the client's arrival order across streams.
     Lane* best = nullptr;
     uint64_t best_seq = 0;
+    uint64_t runner_up = UINT64_MAX;
     for (Lane* lane : lanes) {
       uint64_t seq = 0;
-      if (lane->queue.PeekSeq(&seq) &&
-          (best == nullptr || seq < best_seq)) {
+      if (!lane->queue.PeekSeq(&seq)) continue;
+      if (best == nullptr || seq < best_seq) {
+        if (best != nullptr) runner_up = best_seq;
         best = lane;
         best_seq = seq;
+      } else {
+        runner_up = std::min(runner_up, seq);
       }
     }
-    if (best == nullptr) {
-      // drain_requested_ is stored only after the queues are closed, so
-      // seeing it with all queues empty means no item can ever arrive.
-      if (drain_requested_.load() || stop_.load()) break;
-      signal_.Wait(epoch);
-      continue;
-    }
-
-    IngestItem item;
-    if (!best->queue.Pop(&item)) continue;
     Status status;
-    // Adaptive sessions apply the admission-stamped tier at the item
-    // boundary, before the item itself is dispatched.
-    if (adaptive_ != nullptr) {
-      status = adaptive_->SetTier(item.tier);
-    }
-    if (!status.ok()) {
-      // fall through to the fatal-error path below
-    } else if (item.is_segment) {
-      status = adaptive_ != nullptr
-                   ? adaptive_->ProcessSegment(best->name,
-                                               std::move(item.segment))
-                   : client_->ProcessSegment(best->name,
-                                             std::move(item.segment));
-    } else {
-      batch.clear();
-      batch.push_back(std::move(item.tuple));
-      uint64_t last_seq = item.seq;
-      const size_t target = best->batcher.TargetBatchSize();
-      while (batch.size() < target) {
-        uint64_t seq = 0;
-        bool is_segment = false;
-        uint8_t tier = 0;
-        // Only items with *consecutive* session seqs may join the
-        // batch: a gap means another stream's item was admitted in
-        // between, and batching across it would reorder arrival order.
-        // A tier change is also a batch boundary: the whole batch must
-        // be processed under one precision tier.
-        if (!best->queue.PeekSeq(&seq, &is_segment, &tier) ||
-            seq != last_seq + 1 || is_segment || tier != item.tier) {
-          break;
-        }
-        IngestItem next;
-        if (!best->queue.Pop(&next)) break;
-        batch.push_back(std::move(next.tuple));
-        last_seq = seq;
+    if (best == nullptr) {
+      // No input: deliver what the shards released meanwhile (a
+      // release notifies signal_, so this wait ends when outputs land).
+      status = FlushOutputs();
+      if (status.ok()) {
+        if (draining || stop_.load()) break;
+        signal_.Wait(epoch);
+        continue;
       }
-      status = adaptive_ != nullptr
-                   ? adaptive_->ProcessTuples(best->name, batch.data(),
-                                              batch.size())
-                   : client_->ProcessTuples(best->name, batch.data(),
-                                            batch.size());
-      c_batch_dispatched_->Increment();
-      c_batch_tuples_->Add(batch.size());
+    } else {
+      status = Dispatch(best, runner_up);
+      if (status.ok()) status = FlushOutputs();
     }
-    if (status.ok()) status = FlushOutputs();
     if (!status.ok()) {
       RecordFatal(status);
       (void)WriteFrame(Frame::Error(status.message()));

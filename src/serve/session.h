@@ -28,7 +28,9 @@ namespace serve {
 /// docs/SERVING.md walks through the policy trade-offs).
 struct SessionOptions {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
-  /// Per-stream ingest queue capacity (items).
+  /// Per-stream ingest queue capacity, in tuples (a segment counts as
+  /// one). Queue items are whole frames; a frame larger than the
+  /// capacity is admitted into an empty queue.
   size_t queue_capacity = 256;
   BatcherOptions batcher;
   AdmissionOptions admission;
@@ -48,12 +50,14 @@ struct SessionOptions {
 /// admission order into the server's shared shard pool.
 ///
 ///   reader: transport -> FrameReader -> admission control -> queues
+///           (one queue item per data frame)
 ///   worker: queues -> micro-batches -> ShardClient (key-routed to the
 ///           shared shard pool) -> output segments -> transport
 ///
 /// The reader is the single producer for all queues and stamps each
-/// admitted item with a session-global sequence number; the worker
-/// merges queues by minimum head seq, so dispatch order equals
+/// admitted frame with the session-global sequence number of its first
+/// item; the worker merges queues by minimum head seq, so dispatch
+/// order equals
 /// admission order regardless of how tuples interleave across streams
 /// or how the micro-batcher groups them. The ShardClient then restores
 /// that exact order on the output side (docs/SHARDING.md), so the
@@ -61,6 +65,8 @@ struct SessionOptions {
 /// byte-identical to the batch replay path — survives the fan-out to
 /// shards. Sessions no longer own a runtime: each holds a thin routing
 /// handle onto the pool, so solver state is per shard, not per session.
+/// The pool wakes the worker when it releases outputs, and the worker
+/// delivers them as soon as it finds no input to dispatch.
 class Session {
  public:
   /// `serve_metrics` is the server-wide serve/* registry;
@@ -129,6 +135,10 @@ class Session {
   /// Admission control + enqueue for a data frame's items.
   Status AdmitData(Frame frame);
   Status EnqueueItem(Lane* lane, IngestItem item);
+  /// Pops `lane`'s head frame (if its seq is below `seq_limit`), joins
+  /// the queued frames that directly follow it up to the batcher's
+  /// target, and dispatches the batch.
+  Status Dispatch(Lane* lane, uint64_t seq_limit);
   Status WriteFrame(const Frame& frame);
   /// Moves the shard client's released output segments to the peer.
   Status FlushOutputs();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 namespace pulse {
@@ -62,8 +63,6 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
 
   for (size_t i = 0; i < effective; ++i) {
     auto s = std::make_unique<Shard>();
-    s->queue = std::make_unique<serve::IngestQueue>(
-        pool->options_.exchange_capacity, &s->signal);
     s->registry = std::make_unique<obs::MetricsRegistry>();
     if (share_cache) {
       s->cache =
@@ -81,15 +80,15 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
 ShardPool::~ShardPool() { Shutdown(); }
 
 void ShardPool::Shutdown() {
-  if (shutdown_.exchange(true)) {
+  if (!shutdown_.exchange(true)) {
     for (auto& s : shards_) {
-      if (s->worker.joinable()) s->worker.join();
+      {
+        std::lock_guard<std::mutex> lock(s->mu);
+        s->closed = true;
+      }
+      s->work_cv.notify_all();
+      s->space_cv.notify_all();
     }
-    return;
-  }
-  for (auto& s : shards_) {
-    s->queue->Close();
-    s->signal.Notify();
   }
   for (auto& s : shards_) {
     if (s->worker.joinable()) s->worker.join();
@@ -117,65 +116,99 @@ Result<std::unique_ptr<ShardClient>> ShardPool::AddClient() {
     state->runtimes.push_back(
         std::make_unique<HistoricalRuntime>(std::move(runtime)));
   }
-  {
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    state->id = next_client_id_++;
-    clients_.emplace(state->id, state);
-  }
   return std::unique_ptr<ShardClient>(new ShardClient(this, state));
 }
 
-std::shared_ptr<ShardPool::ClientState> ShardPool::FindClient(uint64_t id) {
-  std::lock_guard<std::mutex> lock(clients_mu_);
-  auto it = clients_.find(id);
-  return it == clients_.end() ? nullptr : it->second;
-}
-
-void ShardPool::RemoveClient(uint64_t id) {
-  std::shared_ptr<ClientState> state;
+bool ShardPool::Push(size_t shard_index, Record record) {
+  Shard& shard = *shards_[shard_index];
+  const size_t n = record.size();
   {
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    auto it = clients_.find(id);
-    if (it == clients_.end()) return;
-    state = std::move(it->second);
-    clients_.erase(it);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    const auto has_room = [&] {
+      return shard.closed || shard.depth == 0 ||
+             shard.depth + n <= options_.exchange_capacity;
+    };
+    shard.space_cv.wait(lock, has_room);
+    if (shard.closed) return false;
+    shard.depth += n;
+    shard.records.push_back(std::move(record));
   }
-  // `state` (and its runtimes) dies here unless a worker still holds a
-  // reference mid-dispatch, in which case the worker's release frees it.
+  shard.work_cv.notify_one();
+  return true;
 }
 
-void ShardPool::ReleaseLocked(ClientState* state) {
-  while (!state->pending.empty() &&
-         state->pending.begin()->first == state->released_seq) {
-    Completion& c = state->pending.begin()->second;
-    state->ready.insert(state->ready.end(),
-                        std::make_move_iterator(c.outputs.begin()),
-                        std::make_move_iterator(c.outputs.end()));
+bool ShardPool::ReleaseLocked(ClientState* state) {
+  bool grew = false;
+  while (!state->pending.empty() && state->pending.front().outstanding == 0) {
+    Completion& c = state->pending.front();
+    // Each seq belongs to one record and a record's outputs arrive in
+    // seq order, so a stable sort by seq reproduces the serial order.
+    std::stable_sort(
+        c.outputs.begin(), c.outputs.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (auto& [seq, segment] : c.outputs) {
+      state->ready.push_back(std::move(segment));
+    }
+    grew = grew || !c.outputs.empty();
     state->released_seq += c.count;
-    state->pending.erase(state->pending.begin());
+    state->pending.pop_front();
+    ++state->first_pending_call;
   }
+  return grew;
+}
+
+void ShardPool::Complete(ClientState* client, uint64_t call, size_t records,
+                         std::vector<std::pair<uint64_t, Segment>> outputs,
+                         const Status& status) {
+  std::lock_guard<std::mutex> lock(client->mu);
+  if (!status.ok()) {
+    if (client->error.empty()) client->error = status.ToString();
+    client->aborted.store(true);
+  }
+  Completion& c = client->pending[call - client->first_pending_call];
+  c.outputs.insert(c.outputs.end(), std::make_move_iterator(outputs.begin()),
+                   std::make_move_iterator(outputs.end()));
+  c.outstanding -= records;
+  bool grew = false;
+  bool released = false;
+  if (c.outstanding == 0) {
+    const uint64_t before = client->released_seq;
+    grew = ReleaseLocked(client);
+    released = client->released_seq != before;
+  }
+  if (released || !status.ok()) client->cv.notify_all();
+  // Called under `mu`, so SetReleaseCallback(nullptr) returning means no
+  // call is in flight.
+  if (grew && client->on_release) client->on_release();
 }
 
 void ShardPool::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
+  // Refilled for every tuple the worker processes: reusing its field
+  // storage keeps the loop free of per-tuple allocation.
+  Tuple scratch;
   for (;;) {
-    const uint64_t epoch = shard.signal.epoch();
-    serve::IngestItem item;
-    if (!shard.queue->Pop(&item)) {
-      if (shard.queue->closed()) break;
-      shard.signal.Wait(epoch);
-      continue;
+    Record record;
+    {
+      std::unique_lock<std::mutex> lock(shard.mu);
+      shard.work_cv.wait(
+          lock, [&] { return !shard.records.empty() || shard.closed; });
+      if (shard.records.empty()) break;  // closed and drained
+      record = std::move(shard.records.front());
+      shard.records.pop_front();
+      shard.depth -= record.size();
     }
-    Dispatch(shard_index, std::move(item));
+    shard.space_cv.notify_all();
+    Dispatch(shard_index, std::move(record), &scratch);
   }
 }
 
-void ShardPool::Dispatch(size_t shard_index, serve::IngestItem item) {
-  std::shared_ptr<ClientState> client = FindClient(item.client);
-  if (client == nullptr) return;  // client gone: drop
+void ShardPool::Dispatch(size_t shard_index, Record record,
+                         Tuple* scratch) {
+  ClientState* client = record.client.get();
   HistoricalRuntime* runtime = client->runtimes[shard_index].get();
 
-  if (item.is_finish) {
+  if (record.kind == Record::Kind::kFinish) {
     Status status;
     std::vector<Segment> outputs;
     if (!client->aborted.load()) {
@@ -193,24 +226,37 @@ void ShardPool::Dispatch(size_t shard_index, serve::IngestItem item) {
   }
 
   Status status;
-  std::vector<Segment> outputs;
+  std::vector<std::pair<uint64_t, Segment>> outputs;
   if (!client->aborted.load()) {
-    const std::string& stream = stream_names_[item.stream];
-    if (item.is_segment) {
-      status = runtime->ProcessSegment(stream, std::move(item.segment));
+    const std::string& stream = stream_names_[record.stream];
+    // Outputs are taken after every item so each carries the seq of
+    // the tuple (or segment) that produced it.
+    const auto take = [&](uint64_t seq) {
+      for (Segment& s : runtime->TakeOutputSegments()) {
+        outputs.emplace_back(seq, std::move(s));
+      }
+    };
+    if (record.kind == Record::Kind::kSegment) {
+      status = runtime->ProcessSegment(stream, std::move(record.segment));
+      if (status.ok()) take(record.seqs[0]);
     } else {
-      status = runtime->ProcessTuple(stream, item.tuple);
+      Tuple& tuple = *scratch;
+      size_t begin = 0;
+      for (size_t i = 0; i < record.timestamps.size() && status.ok(); ++i) {
+        const auto first = record.values.begin() +
+                           static_cast<std::ptrdiff_t>(begin);
+        const auto last = record.values.begin() +
+                          static_cast<std::ptrdiff_t>(record.ends[i]);
+        tuple.timestamp = record.timestamps[i];
+        tuple.values.assign(std::make_move_iterator(first),
+                            std::make_move_iterator(last));
+        begin = record.ends[i];
+        status = runtime->ProcessTuple(stream, tuple);
+        if (status.ok()) take(record.seqs[i]);
+      }
     }
-    if (status.ok()) outputs = runtime->TakeOutputSegments();
   }
-  std::lock_guard<std::mutex> lock(client->mu);
-  if (!status.ok()) {
-    if (client->error.empty()) client->error = status.ToString();
-    client->aborted.store(true);
-  }
-  client->pending.emplace(item.seq, Completion{1, std::move(outputs)});
-  ReleaseLocked(client.get());
-  client->cv.notify_all();
+  Complete(client, record.call, 1, std::move(outputs), status);
 }
 
 void ShardPool::SyncMetrics(bool force) {
@@ -238,10 +284,19 @@ void ShardPool::SyncMetrics(bool force) {
 
 ShardClient::~ShardClient() {
   Abort();
-  if (pool_ != nullptr) pool_->RemoveClient(state_->id);
+  SetReleaseCallback(nullptr);
 }
 
 void ShardClient::Abort() { state_->aborted.store(true); }
+
+void ShardClient::SetReleaseCallback(std::function<void()> callback) {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  state_->on_release = std::move(callback);
+}
+
+Status ShardClient::ErrorStatus() const {
+  return Status::Internal("shard worker failed: " + state_->error);
+}
 
 Status ShardClient::ResolveStream(const std::string& stream,
                                   uint32_t* index) {
@@ -261,29 +316,95 @@ Status ShardClient::ResolveStream(const std::string& stream,
   return Status::OK();
 }
 
-Status ShardClient::Route(size_t shard_index, serve::IngestItem item) {
+Status ShardClient::Submit(uint64_t count, std::vector<Record>* by_shard) {
+  size_t records = 0;
+  for (const Record& r : *by_shard) records += r.size() > 0 ? 1 : 0;
+  if (records == 0) return Status::OK();
+  uint64_t call = 0;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
-    if (!state_->error.empty()) {
-      return Status::Internal("shard worker failed: " + state_->error);
+    if (!state_->error.empty()) return ErrorStatus();
+    // Numbered only once its Completion is queued, so call numbers stay
+    // in step with `pending`.
+    call = next_call_++;
+    ShardPool::Completion completion;
+    completion.count = count;
+    completion.outstanding = records;
+    state_->pending.push_back(std::move(completion));
+  }
+  next_seq_ += count;
+  for (size_t s = 0; s < by_shard->size(); ++s) {
+    Record& r = (*by_shard)[s];
+    if (r.size() == 0) continue;
+    r.client = state_;
+    r.call = call;
+    --records;
+    if (!pool_->Push(s, std::move(r))) {
+      // Settle the records that will never run, so Barrier and Finish
+      // see the failure instead of waiting for them.
+      ShardPool::Complete(state_.get(), call, records + 1, {},
+                          Status::FailedPrecondition(
+                              "shard pool is shut down"));
+      return Status::FailedPrecondition("shard pool is shut down");
     }
   }
-  serve::IngestQueue& queue = *pool_->shards_[shard_index]->queue;
-  uint64_t dropped = 0;
-  const serve::PushResult result =
-      queue.TryPush(&item, serve::BackpressurePolicy::kBlock, &dropped);
-  switch (result) {
-    case serve::PushResult::kAccepted:
-      return Status::OK();
-    case serve::PushResult::kClosed:
-      return Status::FailedPrecondition("shard pool is shut down");
-    case serve::PushResult::kWouldBlock:
-      break;
-    default:
-      return Status::Internal("unexpected exchange push result");
+  return Status::OK();
+}
+
+template <typename TupleT>
+Status ShardClient::Scatter(const std::string& stream, TupleT* tuples,
+                            size_t n) {
+  if (finished_) {
+    return Status::FailedPrecondition("client already finished");
   }
-  if (queue.PushBlocking(std::move(item), nullptr)) return Status::OK();
-  return Status::FailedPrecondition("shard pool is shut down");
+  uint32_t index = 0;
+  PULSE_RETURN_IF_ERROR(ResolveStream(stream, &index));
+  const size_t key_index = pool_->stream_key_index_[index];
+  const size_t shards = pool_->shards_.size();
+  // A tuple without a key ends the call: the tuples before it are
+  // processed, as a serial runtime would have, and the call fails.
+  Status status;
+  shard_of_.resize(n);
+  per_shard_.assign(shards, 0);
+  values_per_shard_.assign(shards, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& t = tuples[i];
+    if (key_index >= t.values.size()) {
+      status = Status::InvalidArgument("tuple missing key field");
+      n = i;
+      break;
+    }
+    const size_t shard =
+        shards == 1 ? 0 : pool_->router_.ShardOf(t.at(key_index).as_int64());
+    shard_of_[i] = static_cast<uint32_t>(shard);
+    ++per_shard_[shard];
+    values_per_shard_[shard] += t.values.size();
+  }
+  by_shard_.resize(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    Record& r = by_shard_[s];
+    r = Record();
+    r.stream = index;
+    r.timestamps.reserve(per_shard_[s]);
+    r.ends.reserve(per_shard_[s]);
+    r.seqs.reserve(per_shard_[s]);
+    r.values.reserve(values_per_shard_[s]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    Record& r = by_shard_[shard_of_[i]];
+    TupleT& t = tuples[i];
+    r.timestamps.push_back(t.timestamp);
+    if constexpr (std::is_const_v<TupleT>) {
+      r.values.insert(r.values.end(), t.values.begin(), t.values.end());
+    } else {
+      r.values.insert(r.values.end(), std::make_move_iterator(t.values.begin()),
+                      std::make_move_iterator(t.values.end()));
+    }
+    r.ends.push_back(static_cast<uint32_t>(r.values.size()));
+    r.seqs.push_back(next_seq_ + i);
+  }
+  PULSE_RETURN_IF_ERROR(Submit(n, &by_shard_));
+  return status;
 }
 
 Status ShardClient::ProcessTuple(const std::string& stream,
@@ -293,26 +414,12 @@ Status ShardClient::ProcessTuple(const std::string& stream,
 
 Status ShardClient::ProcessTuples(const std::string& stream,
                                   const Tuple* tuples, size_t n) {
-  if (finished_) {
-    return Status::FailedPrecondition("client already finished");
-  }
-  uint32_t index = 0;
-  PULSE_RETURN_IF_ERROR(ResolveStream(stream, &index));
-  const size_t key_index = pool_->stream_key_index_[index];
-  for (size_t i = 0; i < n; ++i) {
-    if (key_index >= tuples[i].values.size()) {
-      return Status::InvalidArgument("tuple missing key field");
-    }
-    const Key key = tuples[i].at(key_index).as_int64();
-    serve::IngestItem item;
-    item.seq = next_seq_++;
-    item.client = state_->id;
-    item.stream = index;
-    item.tuple = tuples[i];
-    PULSE_RETURN_IF_ERROR(
-        Route(pool_->router_.ShardOf(key), std::move(item)));
-  }
-  return Status::OK();
+  return Scatter(stream, tuples, n);
+}
+
+Status ShardClient::ProcessTuples(const std::string& stream,
+                                  std::vector<Tuple> tuples) {
+  return Scatter(stream, tuples.data(), tuples.size());
 }
 
 Status ShardClient::ProcessSegment(const std::string& stream,
@@ -322,35 +429,32 @@ Status ShardClient::ProcessSegment(const std::string& stream,
   }
   uint32_t index = 0;
   PULSE_RETURN_IF_ERROR(ResolveStream(stream, &index));
-  const Key key = segment.key;
-  serve::IngestItem item;
-  item.seq = next_seq_++;
-  item.client = state_->id;
-  item.stream = index;
-  item.is_segment = true;
-  item.segment = std::move(segment);
-  return Route(pool_->router_.ShardOf(key), std::move(item));
+  const size_t shard = pool_->router_.ShardOf(segment.key);
+  by_shard_.resize(pool_->shards_.size());
+  for (Record& r : by_shard_) r = Record();
+  Record& r = by_shard_[shard];
+  r.kind = Record::Kind::kSegment;
+  r.stream = index;
+  r.seqs.push_back(next_seq_);
+  r.segment = std::move(segment);
+  return Submit(1, &by_shard_);
 }
 
 Status ShardClient::Barrier() {
   std::unique_lock<std::mutex> lock(state_->mu);
-  // Workers emplace a completion for every data seq — even for aborted
-  // clients — so released_seq always catches up to next_seq_ and the
-  // wait cannot hang.
+  // Workers complete every record — even for aborted clients — so
+  // released_seq always catches up to next_seq_ and the wait cannot
+  // hang.
   state_->cv.wait(lock, [&] {
     return state_->released_seq >= next_seq_ || !state_->error.empty();
   });
-  return state_->error.empty()
-             ? Status::OK()
-             : Status::Internal("shard worker failed: " + state_->error);
+  return state_->error.empty() ? Status::OK() : ErrorStatus();
 }
 
 Status ShardClient::Finish() {
   if (finished_) {
     std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->error.empty()
-               ? Status::OK()
-               : Status::Internal("shard worker failed: " + state_->error);
+    return state_->error.empty() ? Status::OK() : ErrorStatus();
   }
   finished_ = true;
   const size_t shards = pool_->shards_.size();
@@ -359,15 +463,16 @@ Status ShardClient::Finish() {
     state_->finish_remaining = shards;
   }
   for (size_t s = 0; s < shards; ++s) {
-    serve::IngestItem item;
-    item.seq = ~uint64_t{0};  // sentinels are outside the data seq space
-    item.client = state_->id;
-    item.is_finish = true;
-    PULSE_RETURN_IF_ERROR(Route(s, std::move(item)));
+    Record sentinel;
+    sentinel.kind = Record::Kind::kFinish;
+    sentinel.client = state_;
+    if (!pool_->Push(s, std::move(sentinel))) {
+      return Status::FailedPrecondition("shard pool is shut down");
+    }
   }
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->finish_remaining == 0; });
-  // Every data item of this client was dispatched before its shard's
+  // Every data record of this client was dispatched before its shard's
   // sentinel (FIFO per exchange queue), so the data merge is complete.
   // Canonical finish merge: concatenate per-shard finish tails, then
   // the same stable key sort the serial Finish applies. Each key lives
@@ -385,9 +490,7 @@ Status ShardClient::Finish() {
   state_->ready.insert(state_->ready.end(),
                        std::make_move_iterator(finish.begin()),
                        std::make_move_iterator(finish.end()));
-  if (!state_->error.empty()) {
-    return Status::Internal("shard worker failed: " + state_->error);
-  }
+  if (!state_->error.empty()) return ErrorStatus();
   return Status::OK();
 }
 

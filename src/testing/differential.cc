@@ -22,6 +22,7 @@
 #include "store/recovery.h"
 #include "util/cpu_features.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace pulse {
 namespace testing {
@@ -301,6 +302,112 @@ Result<std::vector<Segment>> RunPulseServing(const GeneratedCase& kase,
         "lossless serving configuration shed/dropped input");
   }
   (void)client.Bye();
+  server->Drain();
+  return std::move(drained.output_segments);
+}
+
+// Tuple arrival order for the tuple-path variants, cut into calls: the
+// dense per-stream samples merged timestamp-major (as RunDiscrete feeds
+// them), split into runs of one stream whose lengths are seed-derived
+// in [1, 300] — so calls cover 1-tuple frames, multi-shard batches and
+// frames larger than the session and exchange queue capacities.
+struct TupleBatch {
+  size_t stream = 0;
+  std::vector<Tuple> tuples;
+};
+
+std::vector<TupleBatch> MakeTupleBatches(const GeneratedCase& kase) {
+  std::vector<std::pair<size_t, Tuple>> items;
+  for (size_t i = 0; i < kase.workloads.size(); ++i) {
+    for (Tuple& t : kase.workloads[i].ToTuples(kase.sample_dt)) {
+      items.emplace_back(i, std::move(t));
+    }
+  }
+  std::stable_sort(items.begin(), items.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.timestamp < b.second.timestamp;
+                   });
+  Rng rng(kase.seed ^ 0x7b1e5ULL);
+  std::vector<TupleBatch> batches;
+  size_t limit = 0;
+  for (auto& [stream, tuple] : items) {
+    if (batches.empty() || batches.back().stream != stream ||
+        batches.back().tuples.size() >= limit) {
+      batches.push_back(TupleBatch{stream, {}});
+      limit = static_cast<size_t>(rng.UniformInt(1, 300));
+    }
+    batches.back().tuples.push_back(std::move(tuple));
+  }
+  return batches;
+}
+
+// The tuple path's reference: the direct runtime's ProcessTuples.
+Result<std::vector<Segment>> RunPulseTuples(
+    const GeneratedCase& kase, const std::vector<TupleBatch>& batches) {
+  HistoricalRuntime::Options options;
+  options.collect_outputs = true;
+  PULSE_ASSIGN_OR_RETURN(HistoricalRuntime rt,
+                         HistoricalRuntime::Make(kase.spec, options));
+  for (const TupleBatch& b : batches) {
+    PULSE_RETURN_IF_ERROR(rt.ProcessTuples(kase.workloads[b.stream].name,
+                                           b.tuples.data(),
+                                           b.tuples.size()));
+  }
+  PULSE_RETURN_IF_ERROR(rt.Finish());
+  return rt.TakeOutputSegments();
+}
+
+// The same calls through ShardedRuntime::ProcessTuples: each batch is
+// split into one exchange record per shard and merged back by seq.
+Result<std::vector<Segment>> RunPulseTuplesSharded(
+    const GeneratedCase& kase, const std::vector<TupleBatch>& batches,
+    size_t num_shards) {
+  shard::ShardedRuntimeOptions options;
+  options.num_shards = num_shards;
+  options.runtime.collect_outputs = true;
+  PULSE_ASSIGN_OR_RETURN(
+      shard::ShardedRuntime rt,
+      shard::ShardedRuntime::Make(kase.spec, std::move(options)));
+  for (const TupleBatch& b : batches) {
+    PULSE_RETURN_IF_ERROR(rt.ProcessTuples(kase.workloads[b.stream].name,
+                                           b.tuples.data(),
+                                           b.tuples.size()));
+  }
+  PULSE_RETURN_IF_ERROR(rt.Finish());
+  return rt.TakeOutputSegments();
+}
+
+// The same calls as kTupleBatch frames (SendBatch) through the
+// in-process serving stack, lossless configuration.
+Result<std::vector<Segment>> RunPulseTuplesServing(
+    const GeneratedCase& kase, const std::vector<TupleBatch>& batches) {
+  serve::ServerOptions options;
+  options.spec = kase.spec;
+  options.runtime.collect_outputs = true;
+  options.num_shards = 2;
+  options.session.policy = serve::BackpressurePolicy::kBlock;
+  options.session.queue_capacity = 64;
+  options.session.admission.enabled = false;
+  PULSE_ASSIGN_OR_RETURN(std::unique_ptr<serve::StreamServer> server,
+                         serve::StreamServer::Make(std::move(options)));
+  PULSE_ASSIGN_OR_RETURN(std::unique_ptr<serve::Transport> conn,
+                         server->ConnectInProcess());
+  serve::ServeClient client(std::move(conn));
+  PULSE_RETURN_IF_ERROR(client.Hello());
+  for (size_t i = 0; i < kase.workloads.size(); ++i) {
+    PULSE_RETURN_IF_ERROR(client.OpenStream(static_cast<uint32_t>(i),
+                                            kase.workloads[i].name));
+  }
+  for (const TupleBatch& b : batches) {
+    PULSE_RETURN_IF_ERROR(
+        client.SendBatch(static_cast<uint32_t>(b.stream), b.tuples));
+  }
+  PULSE_ASSIGN_OR_RETURN(serve::ServeClient::DrainResult drained,
+                         client.Drain());
+  if (drained.shed != 0 || drained.dropped != 0) {
+    return Status::Internal(
+        "lossless serving configuration shed/dropped input");
+  }
   server->Drain();
   return std::move(drained.output_segments);
 }
@@ -1300,6 +1407,38 @@ Result<DiffReport> RunDifferential(const GeneratedCase& kase,
     if (!mismatch.empty()) {
       reporter.Add(Divergence{"metamorphic.serving", 0.0, 0, "", 0.0, 0.0,
                               mismatch});
+    }
+  }
+
+  // Tuple-path variants: the case's dense samples (the discrete engine's
+  // input), cut into ProcessTuples calls of seed-derived sizes in
+  // [1, 300], through ShardedRuntime::ProcessTuples at every
+  // `shard_counts` entry and (with `serving_variant`) as kTupleBatch
+  // frames on a two-shard server, must reproduce the direct runtime's
+  // ProcessTuples byte for byte — the seq-tagged per-call merge of the
+  // batched exchange (docs/SHARDING.md).
+  {
+    const std::vector<TupleBatch> batches = MakeTupleBatches(kase);
+    PULSE_ASSIGN_OR_RETURN(std::vector<Segment> direct,
+                           RunPulseTuples(kase, batches));
+    for (const size_t shards : options.shard_counts) {
+      PULSE_ASSIGN_OR_RETURN(std::vector<Segment> sharded,
+                             RunPulseTuplesSharded(kase, batches, shards));
+      const std::string mismatch = CompareVariant(direct, sharded);
+      if (!mismatch.empty()) {
+        reporter.Add(Divergence{
+            "metamorphic.tuples_shards" + std::to_string(shards), 0.0, 0,
+            "", 0.0, 0.0, mismatch});
+      }
+    }
+    if (options.serving_variant) {
+      PULSE_ASSIGN_OR_RETURN(std::vector<Segment> served,
+                             RunPulseTuplesServing(kase, batches));
+      const std::string mismatch = CompareVariant(direct, served);
+      if (!mismatch.empty()) {
+        reporter.Add(Divergence{"metamorphic.tuples_serving", 0.0, 0, "",
+                                0.0, 0.0, mismatch});
+      }
     }
   }
 

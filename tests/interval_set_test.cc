@@ -163,10 +163,7 @@ struct SetPair {
   std::vector<Interval> b;
 };
 
-class IntervalSetAlgebra : public ::testing::TestWithParam<SetPair> {};
-
-TEST_P(IntervalSetAlgebra, MatchesPointwiseSemantics) {
-  const SetPair& p = GetParam();
+void ExpectPointwiseSemantics(const SetPair& p) {
   IntervalSet a = IntervalSet::FromIntervals(p.a);
   IntervalSet b = IntervalSet::FromIntervals(p.b);
   IntervalSet u = a.Union(b);
@@ -181,21 +178,53 @@ TEST_P(IntervalSetAlgebra, MatchesPointwiseSemantics) {
   }
 }
 
+// A SetPair parameter is printed as a byte dump that holds the vectors'
+// heap addresses, so its test name differs from run to run unless the left
+// side is empty. That one case stays a bare SetPair; the rest carry a name
+// that PrintTo makes the test name.
+class IntervalSetAlgebra : public ::testing::TestWithParam<SetPair> {};
+
+TEST_P(IntervalSetAlgebra, MatchesPointwiseSemantics) {
+  ExpectPointwiseSemantics(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, IntervalSetAlgebra,
+    ::testing::Values(SetPair{{}, {Interval::Closed(1.0, 2.0)}}));
+
+struct NamedSetPair {
+  const char* name;
+  SetPair sets;
+};
+
+void PrintTo(const NamedSetPair& c, std::ostream* os) { *os << c.name; }
+
+class NamedIntervalSetAlgebra
+    : public ::testing::TestWithParam<NamedSetPair> {};
+
+TEST_P(NamedIntervalSetAlgebra, MatchesPointwiseSemantics) {
+  ExpectPointwiseSemantics(GetParam().sets);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, NamedIntervalSetAlgebra,
     ::testing::Values(
-        SetPair{{Interval::Closed(0.0, 5.0)}, {Interval::Closed(2.0, 7.0)}},
-        SetPair{{Interval::ClosedOpen(0.0, 2.0),
-                 Interval::ClosedOpen(4.0, 6.0)},
-                {Interval::ClosedOpen(1.0, 5.0)}},
-        SetPair{{Interval::Open(0.0, 10.0)},
-                {Interval::Point(3.0), Interval::Point(5.0)}},
-        SetPair{{Interval::Closed(0.0, 1.0), Interval::Closed(2.0, 3.0),
-                 Interval::Closed(4.0, 5.0)},
-                {Interval::OpenClosed(0.5, 2.5),
-                 Interval::ClosedOpen(4.5, 9.0)}},
-        SetPair{{}, {Interval::Closed(1.0, 2.0)}},
-        SetPair{{Interval::Closed(1.0, 2.0)}, {}}));
+        NamedSetPair{"OverlappingClosed",
+                     {{Interval::Closed(0.0, 5.0)},
+                      {Interval::Closed(2.0, 7.0)}}},
+        NamedSetPair{"HalfOpenStraddle",
+                     {{Interval::ClosedOpen(0.0, 2.0),
+                       Interval::ClosedOpen(4.0, 6.0)},
+                      {Interval::ClosedOpen(1.0, 5.0)}}},
+        NamedSetPair{"OpenMinusPoints",
+                     {{Interval::Open(0.0, 10.0)},
+                      {Interval::Point(3.0), Interval::Point(5.0)}}},
+        NamedSetPair{"ThreeAgainstTwo",
+                     {{Interval::Closed(0.0, 1.0), Interval::Closed(2.0, 3.0),
+                       Interval::Closed(4.0, 5.0)},
+                      {Interval::OpenClosed(0.5, 2.5),
+                       Interval::ClosedOpen(4.5, 9.0)}}},
+        NamedSetPair{"RightEmpty", {{Interval::Closed(1.0, 2.0)}, {}}}));
 
 }  // namespace
 }  // namespace pulse

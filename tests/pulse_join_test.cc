@@ -133,6 +133,52 @@ TEST(PulseJoin, WindowExpiresOldSegments) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(PulseJoin, MatchKeysWindowFollowsItsOwnKey) {
+  // Key 1 lags key 2 by five windows. Its partners expire by its own
+  // arrivals, not by key 2's, so key 1 joins as it would on a shard of
+  // its own.
+  PulseJoinOptions o = Opts(1.0);
+  o.match_keys = true;
+  PulseJoin j("j", CrossPredicate(CmpOp::kLe), o);
+  SegmentBatch out;
+  ASSERT_TRUE(
+      j.Process(0, LinearSegment(1, 0.0, 0.5, 0.0, 0.0), &out).ok());
+  ASSERT_TRUE(
+      j.Process(0, LinearSegment(2, 5.0, 5.5, 0.0, 0.0), &out).ok());
+  ASSERT_TRUE(
+      j.Process(1, LinearSegment(1, 0.2, 0.8, 1.0, 0.0), &out).ok());
+  EXPECT_EQ(out.size(), 1u);
+}
+
+TEST(PulseJoin, SilentKeyKeepsOnlyItsLastWindow) {
+  // A key-equi join expires a key's window only when that key sends
+  // again, so a silent key keeps the segments of its last window however
+  // far the other keys run on — and no more than those. This is the
+  // state bound docs/SHARDING.md states; dropping them by the other
+  // keys' clock would make the output depend on which keys share a
+  // shard.
+  PulseJoinOptions o = Opts(1.0);
+  o.match_keys = true;
+  PulseJoin j("j", CrossPredicate(CmpOp::kLe), o);
+  SegmentBatch out;
+  ASSERT_TRUE(
+      j.Process(0, LinearSegment(1, -0.5, 0.0, 0.0, 0.0), &out).ok());
+  ASSERT_TRUE(
+      j.Process(0, LinearSegment(1, 0.0, 0.5, 0.0, 0.0), &out).ok());
+  for (int t = 2; t <= 1000; t += 2) {
+    ASSERT_TRUE(
+        j.Process(0, LinearSegment(2, t, t + 0.5, 0.0, 0.0), &out).ok());
+  }
+  // Key 1's two segments and key 2's newest one.
+  EXPECT_EQ(j.left_buffer_size(), 3u);
+  EXPECT_EQ(j.metrics().state_size, 3u);
+  // Key 1 sends again two windows on: its old segments expire.
+  ASSERT_TRUE(
+      j.Process(0, LinearSegment(1, 2.0, 2.5, 0.0, 0.0), &out).ok());
+  EXPECT_EQ(j.left_buffer_size(), 2u);
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(PulseJoin, UnmodeledAndKeysCarriedThrough) {
   PulseJoin j("j", CrossPredicate(CmpOp::kLe), Opts());
   Segment l = LinearSegment(3, 0.0, 10.0, 0.0, 0.0);

@@ -241,9 +241,14 @@ TEST(FrameCodec, UnknownFrameTypeRejected) {
 // ---------------------------------------------------------------------
 // Ingest queue policies.
 
-IngestItem Item(uint64_t seq) {
+// A frame of `n` tuples whose first seq is `seq` (tuple i is stamped
+// seq + i, so a trimmed frame shows which tuples survived).
+IngestItem Item(uint64_t seq, size_t n = 1) {
   IngestItem item;
   item.seq = seq;
+  for (size_t i = 0; i < n; ++i) {
+    item.tuples.push_back(ObjectTuple(static_cast<double>(seq + i), 1, 0, 0));
+  }
   return item;
 }
 
@@ -277,6 +282,73 @@ TEST(IngestQueue, DropOldestEvictsHead) {
   EXPECT_TRUE(q.PeekSeq(&seq));
   EXPECT_EQ(seq, 1u);  // newest survives under drop-oldest
   EXPECT_EQ(q.size(), 2u);
+
+  // Multi-tuple frames: capacity counts tuples, and only as many of the
+  // oldest tuples are evicted as the new frame needs — the front of a
+  // partly evicted frame is trimmed, not the whole frame dropped.
+  IngestQueue f(6, nullptr);
+  IngestItem x = Item(10, 4), y = Item(14, 2), z = Item(16, 3);
+  ASSERT_EQ(f.TryPush(&x, BackpressurePolicy::kDropOldest, nullptr),
+            PushResult::kAccepted);
+  ASSERT_EQ(f.TryPush(&y, BackpressurePolicy::kDropOldest, nullptr),
+            PushResult::kAccepted);
+  EXPECT_EQ(f.size(), 6u);
+  dropped = 0;
+  EXPECT_EQ(f.TryPush(&z, BackpressurePolicy::kDropOldest, &dropped),
+            PushResult::kDroppedOldest);
+  EXPECT_EQ(dropped, 3u);
+  EXPECT_EQ(f.size(), 6u);
+  IngestItem out;
+  ASSERT_TRUE(f.Pop(&out));
+  EXPECT_EQ(out.seq, 13u);
+  ASSERT_EQ(out.tuples.size(), 1u);
+  EXPECT_EQ(out.tuples[0].timestamp, 13.0);
+  // A frame larger than the capacity evicts everything queued and is
+  // admitted alone.
+  IngestItem big = Item(19, 8);
+  dropped = 0;
+  EXPECT_EQ(f.TryPush(&big, BackpressurePolicy::kDropOldest, &dropped),
+            PushResult::kDroppedOldest);
+  EXPECT_EQ(dropped, 5u);
+  EXPECT_EQ(f.size(), 8u);
+  ASSERT_TRUE(f.Pop(&out));
+  EXPECT_EQ(out.seq, 19u);
+  EXPECT_EQ(out.tuples.size(), 8u);
+  EXPECT_EQ(f.size(), 0u);
+}
+
+TEST(IngestQueue, OversizedFrameAdmittedIntoEmptyQueue) {
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::kBlock, BackpressurePolicy::kDropOldest,
+        BackpressurePolicy::kShed}) {
+    IngestQueue q(4, nullptr);
+    IngestItem big = Item(0, 10);
+    uint64_t dropped = 0;
+    EXPECT_EQ(q.TryPush(&big, policy, &dropped), PushResult::kAccepted)
+        << BackpressurePolicyToString(policy);
+    EXPECT_EQ(q.size(), 10u);
+    // Over capacity now: the next frame waits, is shed, or evicts.
+    IngestItem next = Item(10, 1);
+    const PushResult second = q.TryPush(&next, policy, &dropped);
+    EXPECT_NE(second, PushResult::kAccepted)
+        << BackpressurePolicyToString(policy);
+  }
+  // Under kBlock the oversized frame also gets past PushBlocking once
+  // the consumer empties the queue.
+  WorkSignal signal;
+  IngestQueue q(4, &signal);
+  IngestItem a = Item(0, 3);
+  ASSERT_EQ(q.TryPush(&a, BackpressurePolicy::kBlock, nullptr),
+            PushResult::kAccepted);
+  std::thread producer(
+      [&] { EXPECT_TRUE(q.PushBlocking(Item(3, 9), nullptr)); });
+  IngestItem out;
+  while (!q.Pop(&out)) std::this_thread::yield();
+  EXPECT_EQ(out.seq, 0u);
+  producer.join();
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out.seq, 3u);
+  EXPECT_EQ(out.tuples.size(), 9u);
 }
 
 TEST(IngestQueue, BlockPolicyWaitsForConsumer) {
@@ -518,37 +590,125 @@ TEST(Session, SegmentPushPathMatchesDirectReplay) {
 TEST(Session, PolicyAccountingConservesTuples) {
   for (const BackpressurePolicy policy :
        {BackpressurePolicy::kDropOldest, BackpressurePolicy::kShed}) {
-    ServerOptions options = ObjectsServerOptions(policy);
-    options.session.queue_capacity = 4;  // force pressure
-    Result<std::unique_ptr<StreamServer>> server =
-        StreamServer::Make(std::move(options));
-    ASSERT_TRUE(server.ok());
-    Result<std::unique_ptr<Transport>> conn = (*server)->ConnectInProcess();
-    ASSERT_TRUE(conn.ok());
-    ServeClient client(std::move(*conn));
-    ASSERT_TRUE(client.Hello().ok());
-    ASSERT_TRUE(client.OpenStream(1, "objects").ok());
-    const std::vector<Tuple> trace = PiecewiseTrace(400);
-    ASSERT_TRUE(client.SendBatch(1, trace).ok());
-    Result<ServeClient::DrainResult> drained = client.Drain();
-    ASSERT_TRUE(drained.ok());
-    (*server)->Drain();
+    // One 400-tuple frame, then frames of 7 and of 9 tuples (one frame
+    // and two frames over the capacity): drops and sheds are counted in
+    // tuples whatever the framing.
+    for (const size_t frame : {size_t{400}, size_t{7}, size_t{9}}) {
+      ServerOptions options = ObjectsServerOptions(policy);
+      options.session.queue_capacity = 4;  // force pressure
+      Result<std::unique_ptr<StreamServer>> server =
+          StreamServer::Make(std::move(options));
+      ASSERT_TRUE(server.ok());
+      Result<std::unique_ptr<Transport>> conn = (*server)->ConnectInProcess();
+      ASSERT_TRUE(conn.ok());
+      ServeClient client(std::move(*conn));
+      ASSERT_TRUE(client.Hello().ok());
+      ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+      const std::vector<Tuple> trace = PiecewiseTrace(400);
+      for (size_t i = 0; i < trace.size(); i += frame) {
+        const size_t end = std::min(trace.size(), i + frame);
+        ASSERT_TRUE(client
+                        .SendBatch(1, std::vector<Tuple>(trace.begin() + i,
+                                                         trace.begin() + end))
+                        .ok());
+      }
+      Result<ServeClient::DrainResult> drained = client.Drain();
+      ASSERT_TRUE(drained.ok());
+      (*server)->Drain();
 
-    obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
-    const uint64_t accepted = snapshot.counters["serve/queue/accepted"];
-    const uint64_t shed = snapshot.counters["serve/queue/shed"];
-    const uint64_t dropped = snapshot.counters["serve/queue/dropped"];
-    // Conservation: every sent tuple was either accepted or shed, and
-    // every accepted-minus-evicted tuple was dispatched to the runtime.
-    EXPECT_EQ(accepted + shed, trace.size());
-    EXPECT_EQ(snapshot.counters["serve/batch/tuples"], accepted - dropped);
-    // The client saw the same story via flow frames.
-    EXPECT_EQ(drained->shed, shed);
-    EXPECT_EQ(drained->dropped, dropped);
-    if (policy == BackpressurePolicy::kShed) {
-      EXPECT_EQ(dropped, 0u);
+      obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
+      const uint64_t accepted = snapshot.counters["serve/queue/accepted"];
+      const uint64_t shed = snapshot.counters["serve/queue/shed"];
+      const uint64_t dropped = snapshot.counters["serve/queue/dropped"];
+      const uint64_t dispatched = snapshot.counters["serve/batch/tuples"];
+      const std::string label =
+          std::string(BackpressurePolicyToString(policy)) + ", frames of " +
+          std::to_string(frame);
+      // Conservation: every sent tuple was either accepted or shed, and
+      // every accepted tuple was either dispatched to the runtime or
+      // evicted — so sent == dispatched + shed + dropped.
+      EXPECT_EQ(accepted + shed, trace.size()) << label;
+      EXPECT_EQ(dispatched, accepted - dropped) << label;
+      EXPECT_EQ(dispatched + shed + dropped, trace.size()) << label;
+      // The client saw the same story via flow frames.
+      EXPECT_EQ(drained->shed, shed) << label;
+      EXPECT_EQ(drained->dropped, dropped) << label;
+      if (policy == BackpressurePolicy::kShed) {
+        EXPECT_EQ(dropped, 0u) << label;
+      }
     }
   }
+}
+
+// Drain race stress: a session whose reader admits its last frame and
+// handles kDrain while the worker sits between an empty scan and its
+// check of the drain flag must still process that frame. Many short
+// sessions (a few frames, then kDrain straight away) make the window
+// likely; each must deliver exactly the direct runtime's outputs.
+TEST(Session, ShortSessionsDeliverEveryAcceptedFrame) {
+  const std::vector<Tuple> trace = PiecewiseTrace(300);
+  ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+  options.num_shards = 2;
+  Result<HistoricalRuntime> direct =
+      HistoricalRuntime::Make(options.spec, options.runtime);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(direct->ProcessTuples("objects", trace.data(), trace.size())
+                  .ok());
+  ASSERT_TRUE(direct->Finish().ok());
+  const std::vector<Segment> expected = direct->TakeOutputSegments();
+  ASSERT_GE(expected.size(), 2u);
+
+  Result<std::unique_ptr<StreamServer>> server =
+      StreamServer::Make(std::move(options));
+  ASSERT_TRUE(server.ok());
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 25;
+  std::vector<std::vector<Segment>> outputs(kThreads * kSessionsPerThread);
+  std::vector<std::string> errors(outputs.size());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kSessionsPerThread; ++k) {
+        const size_t slot = static_cast<size_t>(t * kSessionsPerThread + k);
+        Result<std::unique_ptr<Transport>> conn =
+            (*server)->ConnectInProcess();
+        if (!conn.ok()) {
+          errors[slot] = conn.status().ToString();
+          continue;
+        }
+        ServeClient client(std::move(*conn));
+        Status st = client.Hello();
+        if (st.ok()) st = client.OpenStream(1, "objects");
+        for (size_t i = 0; st.ok() && i < trace.size(); i += 64) {
+          const size_t end = std::min(trace.size(), i + 64);
+          st = client.SendBatch(
+              1, std::vector<Tuple>(trace.begin() + i, trace.begin() + end));
+        }
+        if (!st.ok()) {
+          errors[slot] = st.ToString();
+          continue;
+        }
+        Result<ServeClient::DrainResult> drained = client.Drain();
+        if (!drained.ok()) {
+          errors[slot] = drained.status().ToString();
+          continue;
+        }
+        outputs[slot] = std::move(drained->output_segments);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  (*server)->Drain();
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    SCOPED_TRACE("session " + std::to_string(i));
+    ASSERT_EQ(errors[i], "");
+    ExpectSameSegments(expected, outputs[i]);
+  }
+  obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
+  EXPECT_EQ(snapshot.counters["serve/queue/accepted"],
+            outputs.size() * trace.size());
+  EXPECT_EQ(snapshot.counters["serve/batch/tuples"],
+            outputs.size() * trace.size());
 }
 
 TEST(Session, ProtocolViolationGetsErrorFrame) {
